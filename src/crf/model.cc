@@ -1,5 +1,6 @@
 #include "crf/model.h"
 
+#include <cstdint>
 #include <fstream>
 #include <stdexcept>
 
@@ -11,9 +12,10 @@ namespace whoiscrf::crf {
 namespace {
 
 constexpr uint32_t kMagic = 0x57435246;  // "WCRF"
-// v2 appends the transition-support mask (observed label bigrams) after the
-// weights. v1 streams load fine — they simply carry no support, which reads
-// back as "every transition supported".
+// v2 appends a trailer after the weights: a u32 length, then that many
+// bytes of a legacy transition-support mask (0 or L*L bytes). Save writes it
+// empty so older readers still load new files; Load checks and skips it.
+// v1 streams have no trailer.
 constexpr uint32_t kVersion = 2;
 
 void WriteU32(std::ostream& os, uint32_t v) {
@@ -254,14 +256,6 @@ int CrfModel::TransSlot(int attr_id) const {
   return it != slot_of_attr_.end() ? it->second : -1;
 }
 
-void CrfModel::set_transition_support(std::vector<uint8_t> support) {
-  const size_t L = static_cast<size_t>(num_labels());
-  if (!support.empty() && support.size() != L * L) {
-    throw std::invalid_argument("CrfModel: transition support must be L*L");
-  }
-  transition_support_ = std::move(support);
-}
-
 int CrfModel::LabelId(std::string_view name) const {
   for (size_t i = 0; i < label_names_.size(); ++i) {
     if (label_names_[i] == name) return static_cast<int>(i);
@@ -280,10 +274,7 @@ void CrfModel::Save(std::ostream& os) const {
   WriteU32(os, static_cast<uint32_t>(weights_.size()));
   os.write(reinterpret_cast<const char*>(weights_.data()),
            static_cast<std::streamsize>(weights_.size() * sizeof(double)));
-  // v2 trailer: the transition-support mask (possibly empty).
-  WriteU32(os, static_cast<uint32_t>(transition_support_.size()));
-  os.write(reinterpret_cast<const char*>(transition_support_.data()),
-           static_cast<std::streamsize>(transition_support_.size()));
+  WriteU32(os, 0);  // v2 trailer, always empty
   if (!os) throw std::runtime_error("CrfModel::Save: write failed");
 }
 
@@ -315,14 +306,19 @@ CrfModel CrfModel::Load(std::istream& is) {
           static_cast<std::streamsize>(num_weights * sizeof(double)));
   if (!is) throw std::runtime_error("CrfModel::Load: truncated weights");
   if (version >= 2) {
-    const uint32_t support_size = ReadU32(is);
-    std::vector<uint8_t> support(support_size);
-    if (support_size > 0) {
-      is.read(reinterpret_cast<char*>(support.data()),
-              static_cast<std::streamsize>(support_size));
-      if (!is) throw std::runtime_error("CrfModel::Load: truncated support");
+    // Legacy support mask: check the length before consuming any bytes and
+    // skip it without allocating, so a lying length cannot force a huge read.
+    const uint64_t trailer = ReadU32(is);
+    const uint64_t L = model.label_names_.size();
+    if (trailer != 0 && trailer != L * L) {
+      throw std::runtime_error("CrfModel::Load: bad trailer length");
     }
-    model.set_transition_support(std::move(support));
+    if (trailer > 0) {
+      is.ignore(static_cast<std::streamsize>(trailer));
+      if (static_cast<uint64_t>(is.gcount()) != trailer) {
+        throw std::runtime_error("CrfModel::Load: truncated trailer");
+      }
+    }
   }
   return model;
 }

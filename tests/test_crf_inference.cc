@@ -2,7 +2,9 @@
 // are validated against brute-force enumeration, and the analytic gradient
 // of the log-likelihood against finite differences.
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -233,134 +235,72 @@ TEST(ModelSerializationTest, RejectsCorruptStream) {
   EXPECT_THROW(CrfModel::Load(ss), std::runtime_error);
 }
 
-TEST(ModelSerializationTest, TransitionSupportRoundTrips) {
-  CrfModel model = RandomModel(3, 4, 91);
-  std::vector<uint8_t> support(9, 0);
-  support[0 * 3 + 1] = 1;
-  support[1 * 3 + 2] = 1;
-  support[2 * 3 + 0] = 1;
-  model.set_transition_support(support);
+// A saved model stream whose v2 trailer (the final u32, written as 0) is
+// replaced by `trailer` — a length field plus whatever bytes follow it.
+std::string WithTrailer(const CrfModel& model, const std::string& trailer) {
   std::stringstream ss;
   model.Save(ss);
-  const CrfModel loaded = CrfModel::Load(ss);
-  EXPECT_EQ(loaded.transition_support(), support);
-  EXPECT_NE(loaded.transition_support_mask(), nullptr);
+  std::string bytes = ss.str();
+  EXPECT_EQ(bytes.substr(bytes.size() - 4), std::string(4, '\0'));
+  bytes.resize(bytes.size() - 4);
+  return bytes + trailer;
 }
 
-TEST(ModelSerializationTest, RejectsWrongSizeSupport) {
-  CrfModel model = RandomModel(3, 4, 92);
-  EXPECT_THROW(model.set_transition_support(std::vector<uint8_t>(5, 1)),
-               std::invalid_argument);
-  model.set_transition_support({});  // empty = unknown, always accepted
-  EXPECT_EQ(model.transition_support_mask(), nullptr);
+std::string U32Bytes(uint32_t v) {
+  return {static_cast<char>(v), static_cast<char>(v >> 8),
+          static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
+}
+
+TEST(ModelSerializationTest, LoadsVersion2StreamsWithSupportMask) {
+  // Files written before the transition-support mask was dropped carry an
+  // L*L mask in the v2 trailer. Load skips exactly those bytes, so a model
+  // that follows in the same stream (parser files hold two) still loads.
+  const CrfModel model = RandomModel(3, 4, 91);
+  std::stringstream legacy(
+      WithTrailer(model, U32Bytes(9) + std::string(9, '\1')) + "next");
+  const CrfModel loaded = CrfModel::Load(legacy);
+  EXPECT_EQ(loaded.label_names(), model.label_names());
+  EXPECT_EQ(loaded.weights(), model.weights());
+  std::string rest;
+  legacy >> rest;
+  EXPECT_EQ(rest, "next");
+}
+
+TEST(ModelSerializationTest, RejectsWrongSizeTrailer) {
+  const CrfModel model = RandomModel(3, 4, 92);
+  std::stringstream ss(WithTrailer(model, U32Bytes(5) + std::string(5, '\1')));
+  EXPECT_THROW(CrfModel::Load(ss), std::runtime_error);
+}
+
+TEST(ModelSerializationTest, RejectsLyingTrailerLength) {
+  // The length is checked before anything is read or allocated: the
+  // stream is never read past the length field, so it does not hit EOF.
+  const CrfModel model = RandomModel(3, 4, 94);
+  std::stringstream ss(WithTrailer(model, U32Bytes(0xFFFFFFFFu)));
+  EXPECT_THROW(CrfModel::Load(ss), std::runtime_error);
+  EXPECT_FALSE(ss.eof());
+}
+
+TEST(ModelSerializationTest, RejectsTruncatedTrailer) {
+  const CrfModel model = RandomModel(3, 4, 95);
+  std::stringstream short_mask(
+      WithTrailer(model, U32Bytes(9) + std::string(4, '\1')));
+  EXPECT_THROW(CrfModel::Load(short_mask), std::runtime_error);
+  std::stringstream short_length(WithTrailer(model, std::string(2, '\0')));
+  EXPECT_THROW(CrfModel::Load(short_length), std::runtime_error);
 }
 
 TEST(ModelSerializationTest, LoadsVersion1StreamsWithoutSupport) {
   // A v1 stream is a v2 stream with the version field rewound and the
-  // trailing support block (u32 size + bytes) cut off.
-  CrfModel model = RandomModel(4, 7, 93);
-  std::vector<uint8_t> support(16, 1);
-  model.set_transition_support(support);
-  std::stringstream ss;
-  model.Save(ss);
-  std::string bytes = ss.str();
+  // trailer cut off.
+  const CrfModel model = RandomModel(4, 7, 93);
+  std::string bytes = WithTrailer(model, "");
   bytes[4] = 1;  // version u32 (little-endian) follows the 4-byte magic
-  bytes.resize(bytes.size() - (4 + support.size()));
   std::stringstream v1(bytes);
   const CrfModel loaded = CrfModel::Load(v1);
-  EXPECT_TRUE(loaded.transition_support().empty());
-  EXPECT_EQ(loaded.transition_support_mask(), nullptr);
+  EXPECT_EQ(loaded.label_names(), model.label_names());
   EXPECT_EQ(loaded.weights(), model.weights());
 }
-
-class DecodeBeamTest
-    : public ::testing::TestWithParam<std::tuple<int, int, uint64_t>> {};
-
-TEST_P(DecodeBeamTest, ExactWhenBeamCoversAllLabels) {
-  const auto [num_labels, length, seed] = GetParam();
-  CrfModel model = RandomModel(num_labels, 5, seed);
-  const CompiledSequence seq = RandomSequence(model, length, seed + 21);
-  const auto scores = model.ComputeScores(seq);
-  const ViterbiResult exact = Decode(scores);
-  for (int width : {num_labels, num_labels + 3}) {
-    const ViterbiResult beam = DecodeBeam(scores, width);
-    EXPECT_EQ(beam.labels, exact.labels) << "width=" << width;
-    // Bit-identical, not just close: the beam performs Decode's additions
-    // and comparisons in Decode's order when it covers every label.
-    EXPECT_EQ(beam.score, exact.score) << "width=" << width;
-  }
-}
-
-TEST_P(DecodeBeamTest, NarrowBeamReturnsConsistentPath) {
-  const auto [num_labels, length, seed] = GetParam();
-  CrfModel model = RandomModel(num_labels, 5, seed);
-  const CompiledSequence seq = RandomSequence(model, length, seed + 22);
-  const auto scores = model.ComputeScores(seq);
-  const ViterbiResult exact = Decode(scores);
-  for (int width = 1; width <= num_labels; ++width) {
-    const ViterbiResult beam = DecodeBeam(scores, width);
-    ASSERT_EQ(beam.labels.size(), static_cast<size_t>(length));
-    // The reported score is the actual score of the returned path...
-    double rescore = 0.0;
-    for (int t = 0; t < length; ++t) {
-      rescore += scores.unary[static_cast<size_t>(t) * num_labels +
-                              beam.labels[static_cast<size_t>(t)]];
-      if (t >= 1) {
-        rescore += scores.PairRow(t)[beam.labels[static_cast<size_t>(t - 1)] *
-                                         num_labels +
-                                     beam.labels[static_cast<size_t>(t)]];
-      }
-    }
-    EXPECT_NEAR(beam.score, rescore, 1e-9) << "width=" << width;
-    // ...and pruning can only lose score, never gain it.
-    EXPECT_LE(beam.score, exact.score + 1e-9) << "width=" << width;
-  }
-}
-
-TEST_P(DecodeBeamTest, FullSupportMaskChangesNothing) {
-  const auto [num_labels, length, seed] = GetParam();
-  CrfModel model = RandomModel(num_labels, 5, seed);
-  const CompiledSequence seq = RandomSequence(model, length, seed + 23);
-  const auto scores = model.ComputeScores(seq);
-  const std::vector<uint8_t> all(
-      static_cast<size_t>(num_labels) * num_labels, 1);
-  const ViterbiResult exact = Decode(scores);
-  const ViterbiResult beam = DecodeBeam(scores, num_labels, all.data());
-  EXPECT_EQ(beam.labels, exact.labels);
-  EXPECT_EQ(beam.score, exact.score);
-}
-
-TEST_P(DecodeBeamTest, EmptySupportRowFallsBackToUnprunedBeam) {
-  const auto [num_labels, length, seed] = GetParam();
-  if (length < 2) return;
-  CrfModel model = RandomModel(num_labels, 5, seed);
-  const CompiledSequence seq = RandomSequence(model, length, seed + 24);
-  const auto scores = model.ComputeScores(seq);
-  // No supported predecessor for ANY label: every row must fall back, so
-  // the result matches the unpruned beam exactly.
-  const std::vector<uint8_t> none(
-      static_cast<size_t>(num_labels) * num_labels, 0);
-  const ViterbiResult pruned = DecodeBeam(scores, num_labels, none.data());
-  const ViterbiResult open = DecodeBeam(scores, num_labels);
-  EXPECT_EQ(pruned.labels, open.labels);
-  EXPECT_EQ(pruned.score, open.score);
-}
-
-TEST(DecodeBeamTest, RejectsDegenerateArguments) {
-  CrfModel model = RandomModel(3, 3, 8);
-  const CompiledSequence seq = RandomSequence(model, 4, 9);
-  const auto scores = model.ComputeScores(seq);
-  EXPECT_THROW(DecodeBeam(scores, 0), std::invalid_argument);
-  const CrfModel::Scores empty{};
-  EXPECT_THROW(DecodeBeam(empty, 2), std::invalid_argument);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SmallModels, DecodeBeamTest,
-    ::testing::Values(std::make_tuple(2, 1, 7u), std::make_tuple(2, 5, 11u),
-                      std::make_tuple(3, 4, 13u), std::make_tuple(4, 8, 17u),
-                      std::make_tuple(6, 12, 19u),
-                      std::make_tuple(12, 9, 23u)));
 
 TEST(InferenceEdgeCases, SingleLineSequence) {
   CrfModel model = RandomModel(3, 3, 5);

@@ -84,11 +84,13 @@ TEST_P(TemplateFamilyTest, RendersBothVersionsWithValidLabels) {
 
 TEST_P(TemplateFamilyTest, TrainedParserHandlesFamily) {
   const std::string& family = GetParam();
-  // Scan held-out records of this family and demand high line accuracy.
+  // Scan held-out records (indices past the 350 trained on) of this family
+  // and demand high line accuracy. Rare families first appear near index
+  // 700, so the scan runs up to a fixed cap rather than the corpus size.
   size_t lines = 0;
   size_t wrong = 0;
   size_t records_seen = 0;
-  for (size_t i = 350; i < 600 && records_seen < 8; ++i) {
+  for (size_t i = 350; i < 2000 && records_seen < 8; ++i) {
     const auto domain = generator_->Generate(i);
     const auto& actual_family =
         generator_->registrars()
@@ -102,7 +104,7 @@ TEST_P(TemplateFamilyTest, TrainedParserHandlesFamily) {
       if (labels[t] != domain.thick.labels[t]) ++wrong;
     }
   }
-  if (lines == 0) GTEST_SKIP() << "family not drawn in held-out range";
+  ASSERT_GT(records_seen, 0u) << family << " not drawn in held-out range";
   EXPECT_LE(static_cast<double>(wrong) / static_cast<double>(lines), 0.08)
       << family << ": " << wrong << "/" << lines;
 }
