@@ -95,9 +95,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     int code = *run;
-    for (const auto& unused : flags.UnconsumedFlags()) {
-      std::fprintf(stderr, "warning: unused flag %s\n", unused.c_str());
-    }
     for (const auto& error : flags.errors()) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
       code = 2;

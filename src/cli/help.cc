@@ -1,5 +1,6 @@
 #include "cli/help.h"
 
+#include <sstream>
 #include <string>
 #include <unordered_map>
 
@@ -331,6 +332,20 @@ const char* CommandHelp(const std::string& command) {
   }();
   const auto it = table->find(command);
   return it == table->end() ? nullptr : it->second.c_str();
+}
+
+std::vector<std::string> CommandFlags(const std::string& command) {
+  std::vector<std::string> out;
+  const char* help = CommandHelp(command);
+  if (help == nullptr) return out;
+  // A flag line is two spaces, the flag, then its metavar or description
+  // (the same shape scripts/check_cli_docs.py parses).
+  std::istringstream lines(help);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  --", 0) != 0) continue;
+    out.push_back(line.substr(2, line.find(' ', 2) - 2));
+  }
+  return out;
 }
 
 }  // namespace whoiscrf::cli

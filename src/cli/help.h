@@ -8,11 +8,16 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 namespace whoiscrf::cli {
 
 // Help text for one subcommand, or nullptr if the command is unknown.
 // Includes the shared global-flags trailer.
 const char* CommandHelp(const std::string& command);
+
+// The flags ("--name") a command accepts: every flag in its help table,
+// global flags included. Empty for an unknown command.
+std::vector<std::string> CommandFlags(const std::string& command);
 
 }  // namespace whoiscrf::cli

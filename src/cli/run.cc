@@ -8,6 +8,7 @@
 //
 // Keeping this in one place means a new subcommand gets telemetry for free
 // and no command can drift from the contract in docs/observability.md.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -76,6 +77,19 @@ std::optional<int> RunCommand(const std::string& command,
     std::fputs(CommandHelp(command), stdout);
     return 0;
   }
+
+  // Fail fast on a flag the command does not take, before it does any
+  // work: a misspelt or removed flag would otherwise run with defaults.
+  const std::vector<std::string> accepted = CommandFlags(command);
+  bool unknown = false;
+  for (const std::string& flag : flags.UnconsumedFlags()) {
+    if (std::find(accepted.begin(), accepted.end(), flag) == accepted.end()) {
+      std::fprintf(stderr, "error: unknown flag %s for '%s'\n", flag.c_str(),
+                   command.c_str());
+      unknown = true;
+    }
+  }
+  if (unknown) return 2;
 
   // Consume the telemetry flags before dispatch so commands never see them
   // as unknown/unused.

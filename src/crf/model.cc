@@ -1,7 +1,9 @@
 #include "crf/model.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 
 #include "crf/workspace.h"
@@ -41,9 +43,15 @@ void WriteString(std::ostream& os, const std::string& s) {
 
 std::string ReadString(std::istream& is) {
   const uint32_t len = ReadU32(is);
-  std::string s(len, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(len));
-  if (!is) throw std::runtime_error("CrfModel::Load: truncated stream");
+  std::string s;
+  char buf[4096];
+  for (uint32_t left = len; left > 0;) {
+    const uint32_t n = std::min<uint32_t>(left, sizeof(buf));
+    is.read(buf, n);
+    if (!is) throw std::runtime_error("CrfModel::Load: truncated stream");
+    s.append(buf, n);
+    left -= n;
+  }
   return s;
 }
 
@@ -286,30 +294,46 @@ CrfModel CrfModel::Load(std::istream& is) {
   if (version < 1 || version > kVersion) {
     throw std::runtime_error("CrfModel::Load: unsupported version");
   }
+  // Every count below is checked against bytes actually read before it
+  // sizes anything, so a hostile stream fails with runtime_error rather
+  // than an allocation its length never backs.
   const uint32_t num_labels = ReadU32(is);
   std::vector<std::string> labels;
-  labels.reserve(num_labels);
   for (uint32_t i = 0; i < num_labels; ++i) labels.push_back(ReadString(is));
+  if (labels.size() < 2) {
+    throw std::runtime_error("CrfModel::Load: need at least two labels");
+  }
   text::Vocabulary vocab = text::Vocabulary::Load(is);
   const uint32_t num_slots = ReadU32(is);
   std::vector<int> slots;
-  slots.reserve(num_slots);
   for (uint32_t i = 0; i < num_slots; ++i) {
     slots.push_back(static_cast<int>(ReadU32(is)));
   }
-  CrfModel model(std::move(labels), std::move(vocab), std::move(slots));
-  const uint32_t num_weights = ReadU32(is);
-  if (num_weights != model.weights_.size()) {
+  // The weight count the constructor would allocate. Each count is backed
+  // by stream bytes but their product need not be, so compare in an order
+  // that cannot overflow (L*L <= num_weights < 2^32 bounds L below 2^16).
+  const uint64_t L = labels.size();
+  const uint64_t num_weights = ReadU32(is);
+  if (L * L > num_weights || slots.size() > num_weights / (L * L) ||
+      (vocab.size() + L + slots.size() * L) * L != num_weights) {
     throw std::runtime_error("CrfModel::Load: weight count mismatch");
   }
-  is.read(reinterpret_cast<char*>(model.weights_.data()),
-          static_cast<std::streamsize>(num_weights * sizeof(double)));
-  if (!is) throw std::runtime_error("CrfModel::Load: truncated weights");
+  std::vector<double> weights;
+  double buf[512];
+  for (uint64_t left = num_weights; left > 0;) {
+    const size_t n = std::min<uint64_t>(left, std::size(buf));
+    is.read(reinterpret_cast<char*>(buf),
+            static_cast<std::streamsize>(n * sizeof(double)));
+    if (!is) throw std::runtime_error("CrfModel::Load: truncated weights");
+    weights.insert(weights.end(), buf, buf + n);
+    left -= n;
+  }
+  CrfModel model(std::move(labels), std::move(vocab), std::move(slots));
+  model.weights_ = std::move(weights);
   if (version >= 2) {
     // Legacy support mask: check the length before consuming any bytes and
     // skip it without allocating, so a lying length cannot force a huge read.
     const uint64_t trailer = ReadU32(is);
-    const uint64_t L = model.label_names_.size();
     if (trailer != 0 && trailer != L * L) {
       throw std::runtime_error("CrfModel::Load: bad trailer length");
     }

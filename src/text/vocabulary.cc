@@ -81,15 +81,20 @@ void Vocabulary::Save(std::ostream& os) const {
 }
 
 Vocabulary Vocabulary::Load(std::istream& is) {
+  // Names and the tables grow only as bytes arrive, so a lying count or
+  // length fails on the truncated stream instead of reserving memory.
   Vocabulary v;
   const uint32_t n = ReadU32(is);
-  v.names_.reserve(n);
-  v.ids_.reserve(n);
+  char buf[4096];
   for (uint32_t i = 0; i < n; ++i) {
-    const uint32_t len = ReadU32(is);
-    std::string name(len, '\0');
-    is.read(name.data(), static_cast<std::streamsize>(len));
-    if (!is) throw std::runtime_error("Vocabulary::Load: truncated stream");
+    std::string name;
+    for (uint32_t left = ReadU32(is); left > 0;) {
+      const uint32_t chunk = std::min<uint32_t>(left, sizeof(buf));
+      is.read(buf, chunk);
+      if (!is) throw std::runtime_error("Vocabulary::Load: truncated stream");
+      name.append(buf, chunk);
+      left -= chunk;
+    }
     v.ids_.emplace(name, static_cast<int>(v.names_.size()));
     v.names_.push_back(std::move(name));
   }

@@ -1,8 +1,10 @@
 // Tiny command-line flag parser for the CLI tools.
 //
-// Supports "--name value", "--name=value", and boolean "--name". Unknown
-// flags are collected as errors so commands can fail fast with a usage
-// message. Non-flag arguments are positional.
+// Supports "--name value", "--name=value", and boolean "--name". Malformed
+// and duplicate flags are collected as errors; UnconsumedFlags lists the
+// rest a command never read (the CLI checks them against the command's
+// help table before it runs, so unknown flags fail fast). Non-flag
+// arguments are positional.
 #pragma once
 
 #include <cstdint>

@@ -99,9 +99,14 @@ uint64_t NextParserId() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-// Cache key: the layout flags + text a Line contributes to feature
-// extraction (Tokenizer::ExtractTo reads nothing else), so equal keys
-// guarantee identical attribute streams.
+// Slot count of the direct-mapped word cache (power of two). WHOIS word
+// vocabulary is Zipfian; hot words re-enter immediately after a conflict
+// eviction, and replay copies everything out during the probe, so no
+// pinning is needed.
+constexpr size_t kWordCacheSlots = 1 << 15;
+
+}  // namespace
+
 void LineCacheKey(const text::Line& line, std::string& key) {
   char flags = 0;
   if (line.preceded_by_blank) flags |= 1;
@@ -112,20 +117,6 @@ void LineCacheKey(const text::Line& line, std::string& key) {
   key.assign(1, flags);
   key.append(line.text);
 }
-
-// Slot count of the direct-mapped line cache (power of two; the probe
-// masks the key hash). Sized well above the few thousand distinct lines a
-// registrar template corpus produces, so conflict evictions of hot lines
-// are rare; total memory stays bounded at slots x working line size.
-constexpr size_t kLineCacheSlots = 1 << 15;
-
-// Slot count of the direct-mapped word cache (power of two). WHOIS word
-// vocabulary is Zipfian; hot words re-enter immediately after a conflict
-// eviction, and replay copies everything out during the probe, so no
-// pinning is needed.
-constexpr size_t kWordCacheSlots = 1 << 15;
-
-}  // namespace
 
 namespace {
 
@@ -460,6 +451,31 @@ void RouteLine(const LineRoutePlan& plan, const std::string& value,
   }
 }
 
+// Route plan of one split line, through the per-title memo. Untitled lines
+// route on the value (domain/URL shape), so their plan is per line; these
+// are the rare case in titled formats. The one value-dependence a titled
+// line has: a URL-shaped value wins the registrar route unless a stronger
+// keyword already did (mirrors ComputeRoutePlan's chain, which tests IsUrl
+// before the registrar-name keywords).
+LineRoutePlan CachedRoutePlan(const std::string& title,
+                              const std::string& value,
+                              FieldRouteCache& cache) {
+  if (title.empty()) return ComputeRoutePlan(title, value);
+  auto it = cache.by_title.find(title);
+  if (it == cache.by_title.end()) {
+    if (cache.by_title.size() >= FieldRouteCache::kMaxTitles) {
+      cache.by_title.clear();
+    }
+    it = cache.by_title.emplace(title, ComputeRoutePlan(title, {})).first;
+  }
+  LineRoutePlan plan = it->second;
+  if (plan.registrar != kRegWhoisServer && plan.registrar != kRegUrl &&
+      text::IsUrl(value)) {
+    plan.registrar = kRegUrl;
+  }
+  return plan;
+}
+
 }  // namespace
 
 void ExtractFields(const std::vector<text::Line>& lines,
@@ -482,34 +498,11 @@ void ExtractFieldsCached(const std::vector<text::Line>& lines,
                          const std::vector<Level2Label>& registrant_sub_labels,
                          ParsedWhois& out, FieldRouteCache& cache) {
   static const std::vector<Level2Label> kNoOtherSubs;
-  static const std::string kEmptyValue;
   size_t registrant_index = 0;
   size_t other_index = 0;
   for (size_t i = 0; i < lines.size(); ++i) {
     SplitTitleValueInto(lines[i], cache.title, cache.value);
-    LineRoutePlan plan;
-    if (cache.title.empty()) {
-      // Untitled lines route on the value (domain/URL shape), so the plan
-      // is per-line; these are the rare case in titled formats.
-      plan = ComputeRoutePlan(cache.title, cache.value);
-    } else {
-      auto it = cache.by_title.find(cache.title);
-      if (it == cache.by_title.end()) {
-        it = cache.by_title
-                 .emplace(cache.title,
-                          ComputeRoutePlan(cache.title, kEmptyValue))
-                 .first;
-      }
-      plan = it->second;
-      // The one value-dependence a titled line has: a URL-shaped value
-      // wins the registrar route unless a stronger keyword already did
-      // (mirrors ComputeRoutePlan's chain, which tests IsUrl before the
-      // registrar-name keywords).
-      if (plan.registrar != kRegWhoisServer && plan.registrar != kRegUrl &&
-          text::IsUrl(cache.value)) {
-        plan.registrar = kRegUrl;
-      }
-    }
+    const LineRoutePlan plan = CachedRoutePlan(cache.title, cache.value, cache);
     RouteLine(plan, cache.value, labels[i], registrant_sub_labels,
               registrant_index, kNoOtherSubs, other_index, out);
   }
@@ -675,10 +668,11 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
     for (WordSlot& slot : ws.word_slots) slot.len = 0;
     ws.cache_owner = instance_id_;
   }
-  if (ws.slots.empty()) ws.slots.resize(kLineCacheSlots);
+  if (ws.slots.empty()) ws.slots.resize(ParseWorkspace::kLineCacheSlots);
   if (ws.word_slots.empty()) ws.word_slots.resize(kWordCacheSlots);
+  if (ws.seen.empty()) ws.seen.resize(ParseWorkspace::kSeenTags);
   const uint64_t record_seq = ++ws.record_seq;
-  ws.overflow_used = 0;
+  ws.scratch_used = 0;
 
   const size_t T = ws.lines.size();
   const size_t L1 = static_cast<size_t>(level1_->num_labels());
@@ -709,33 +703,37 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
   for (size_t t = 0; t < T; ++t) {
     LineCacheKey(ws.lines[t], ws.key);
     const uint64_t hash = TransparentStringHash{}(std::string_view(ws.key));
-    LineSlot& slot = ws.slots[hash & (kLineCacheSlots - 1)];
+    LineSlot& slot = ws.slots[hash & (ParseWorkspace::kLineCacheSlots - 1)];
     const LineCacheEntry* entry;
     if (slot.hash == hash && slot.key == ws.key) {
       ++cache_hits;
       slot.record_seq = record_seq;  // pin against same-record eviction
       entry = &slot.entry;
     } else {
+      uint32_t& seen = ws.seen[hash & (ParseWorkspace::kSeenTags - 1)];
+      const uint32_t tag = static_cast<uint32_t>(hash >> 32) | 1;
       LineCacheEntry* e;
-      if (!slot.key.empty() && slot.record_seq == record_seq) {
-        // Collision with a line this record already points at: compile
-        // into the (reused, pointer-stable) overflow pool instead.
-        e = ws.overflow_used < ws.overflow.size()
-                ? &ws.overflow[ws.overflow_used]
-                : &ws.overflow.emplace_back();
-        ++ws.overflow_used;
-      } else {
+      if (seen == tag && (slot.key.empty() || slot.record_seq != record_seq)) {
+        // Second sighting: admit into the slot, evicting its occupant.
         slot.hash = hash;
         slot.key.assign(ws.key);
         slot.record_seq = record_seq;
         e = &slot.entry;
+      } else {
+        // First sighting, or a collision with a line this record already
+        // points at: compile into the (reused, pointer-stable) scratch pool.
+        seen = tag;
+        e = ws.scratch_used < ws.scratch.size()
+                ? &ws.scratch[ws.scratch_used]
+                : &ws.scratch.emplace_back();
+        ++ws.scratch_used;
       }
       e->unary1.resize(L1);
       e->unary2.resize(L2);
       sink.BeginLine(e->level1, e->level2, e->unary1.data(), e->unary2.data());
       tokenizer_.ExtractTo(ws.lines[t], sink, ws.crf.token_scratch);
       SplitTitleValueInto(ws.lines[t], e->title_lower, e->value);
-      e->plan = ComputeRoutePlan(e->title_lower, e->value);
+      e->plan = CachedRoutePlan(e->title_lower, e->value, ws.field_routes);
       entry = e;
     }
     ws.line_entries[t] = entry;
@@ -818,6 +816,9 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
     const LineCacheEntry& entry = *ws.line_entries[i];
     RouteLine(entry.plan, entry.value, out.line_labels[i], ws.sub_labels,
               registrant_index, ws.other_subs, other_index, out);
+  }
+  if (ws.scratch.size() > ParseWorkspace::kScratchKeep) {
+    ws.scratch.resize(ParseWorkspace::kScratchKeep);
   }
 
   metrics_.records->Inc();

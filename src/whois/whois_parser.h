@@ -118,19 +118,27 @@ struct TransparentStringHash {
   }
 };
 
-// Memo for ExtractFieldsCached: route plans of *titled* lines keyed by
-// lowered title (for a fixed title the plan is value-independent except
-// for the URL check, which the cached path re-tests per value), plus
-// reused split buffers so steady-state extraction allocates nothing.
-// Not thread-safe; use one per thread (ParseWorkspace carries one).
-// Plans are pure text functions, independent of any parser instance, so
-// the memo never needs invalidation.
+// Route-plan memo shared by ExtractFieldsCached and Parse's compile-cache
+// miss path: plans of *titled* lines keyed by lowered title (for a fixed
+// title the plan is value-independent except for the URL check, which is
+// re-tested per value), plus reused split buffers so steady-state
+// extraction allocates nothing. At most kMaxTitles titles are kept; a full
+// memo is cleared, so a long-lived worker fed endless novel titles stays
+// bounded. Not thread-safe; use one per thread (ParseWorkspace carries
+// one). Plans are pure text functions, independent of any parser instance,
+// so the memo never needs invalidation.
 struct FieldRouteCache {
+  static constexpr size_t kMaxTitles = 4096;
   std::unordered_map<std::string, LineRoutePlan, TransparentStringHash,
                      std::equal_to<>>
       by_title;
   std::string title, value;
 };
+
+// Line-cache key: the layout flags + text a Line contributes to feature
+// extraction (Tokenizer::ExtractTo reads nothing else), so equal keys
+// guarantee identical attribute streams.
+void LineCacheKey(const text::Line& line, std::string& key);
 
 // One slot of the direct-mapped line cache. `key` (layout flags + text)
 // empty means vacant; `record_seq` is the last record that read or wrote
@@ -155,23 +163,41 @@ struct ParseWorkspace {
 
   // Line cache: direct-mapped, fixed slot count, eviction on collision.
   // Keyed by layout flags + text — the only Line fields feature extraction
-  // reads. A template line that repeats across records is re-inserted as
-  // fast as one-off lines (dates, domains) can evict it, so the hit rate
-  // tracks the corpus's instantaneous template overlap instead of decaying
-  // once a grow-only map would have filled: memory stays bounded with no
-  // saturation cliff. Eviction recompiles *in place*, reusing the slot's
-  // vectors and strings, so misses allocate nothing once capacities have
-  // grown. Entries are valid for exactly one parser instance
-  // (`cache_owner`); Parse invalidates all slots when handed a workspace
-  // last used with a different parser.
+  // reads. A line enters a slot only on its *second* sighting: a miss whose
+  // tag is not in `seen` records the tag and compiles into `scratch`,
+  // leaving the slot alone. Template lines repeat, so they are admitted on
+  // their second sighting; one-off lines (domains, dates, registrant
+  // values) never evict a template line and never leave an entry on the
+  // heap.
+  // Admission recompiles *in place*, reusing the slot's vectors and
+  // strings, so misses allocate nothing once capacities have grown.
+  // Entries are valid for exactly one parser instance (`cache_owner`);
+  // Parse invalidates all slots when handed a workspace last used with a
+  // different parser.
+  //
+  // Slot count (power of two; the probe masks the key hash). Sized well
+  // above the few thousand distinct lines a registrar template corpus
+  // produces, so conflict evictions of hot lines are rare; total memory
+  // stays bounded at slots x working line size.
+  static constexpr size_t kLineCacheSlots = 1 << 15;
+  // Entry count of the "seen once" table (power of two; indexed by the low
+  // key-hash bits, tagged with the high 32, 0 = empty). Twice the slot
+  // count, so a template line's tag is rarely overwritten between its
+  // first and second sightings. 4 bytes per entry.
+  static constexpr size_t kSeenTags = 1 << 16;
   uint64_t cache_owner = 0;
   uint64_t record_seq = 0;
   std::vector<LineSlot> slots;  // sized kLineCacheSlots on first use
-  // Same-record slot collisions compile into this pool instead of
-  // evicting (deque: pointer-stable growth); entries are reused across
-  // records via `overflow_used`, never destroyed.
-  std::deque<LineCacheEntry> overflow;
-  size_t overflow_used = 0;
+  std::vector<uint32_t> seen;   // sized kSeenTags on first use
+  // Per-record scratch pool for lines that do not go into a slot: first
+  // sightings, and admissions whose slot holds a line this record already
+  // points at. Pointer-stable growth (deque); entries are reused across
+  // records via `scratch_used`, so the pool stays hot. After each record
+  // at most kScratchKeep entries remain, so one huge record does not pin
+  // its entries for the workspace's lifetime.
+  static constexpr size_t kScratchKeep = 256;
+  std::deque<LineCacheEntry> scratch;
+  size_t scratch_used = 0;
   std::vector<const LineCacheEntry*> line_entries;  // per line, this record
   std::vector<const LineCacheEntry*> block;         // level-2 subset
   std::string key;
@@ -184,8 +210,9 @@ struct ParseWorkspace {
   // Validity follows `cache_owner`.
   std::vector<WordSlot> word_slots;  // sized kWordCacheSlots on first use
 
-  // Route-plan memo for ExtractFieldsCached (the cascade's cheap tiers).
-  // Parser-independent, so it survives cache_owner changes untouched.
+  // Route-plan memo for compile-cache misses and ExtractFieldsCached (the
+  // cascade's cheap tiers). Parser-independent, so it survives
+  // cache_owner changes untouched.
   FieldRouteCache field_routes;
 };
 

@@ -1,5 +1,6 @@
 // CLI layer: flag parsing, raw-record splitting, per-command help, and
 // command round trips through temporary files.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -184,6 +185,39 @@ TEST(RunCommandTest, ParseMetricsOutWritesRunReport) {
   // Training inside this process also left the optimizer metrics behind.
   EXPECT_NE(report.find("\"whoiscrf_train_iterations_total\""),
             std::string::npos);
+}
+
+TEST(RunCommandTest, UnknownFlagFailsBeforeTheCommandRuns) {
+  // The model path does not exist: had parse run, loading it would throw.
+  const std::string out = ::testing::TempDir() + "/unknown_flag_gen.txt";
+  std::remove(out.c_str());
+  {
+    auto flags = Parse({"--model", "no-such-model.bin", "--beam", "3"});
+    ::testing::internal::CaptureStderr();
+    const auto code = cli::RunCommand("parse", flags);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(code.has_value());
+    EXPECT_EQ(*code, 2);
+    EXPECT_NE(err.find("--beam"), std::string::npos) << err;
+  }
+  {
+    // A flag of another command is unknown here too; gen writes nothing.
+    auto flags = Parse({"--out", out.c_str(), "--count", "3", "--model", "m"});
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(cli::RunCommand("gen", flags), 2);
+    ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(std::ifstream(out).good());
+  }
+  // Global flags are accepted by every command.
+  for (const char* command : {"gen", "parse", "serve", "quarantine"}) {
+    const auto accepted = cli::CommandFlags(command);
+    for (const char* flag : {"--metrics-out", "--trace-out", "--help"}) {
+      EXPECT_NE(std::find(accepted.begin(), accepted.end(), flag),
+                accepted.end())
+          << command << " " << flag;
+    }
+  }
+  EXPECT_TRUE(cli::CommandFlags("nonsense").empty());
 }
 
 TEST(CliCommandsTest, GenNewTld) {

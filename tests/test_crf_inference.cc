@@ -290,6 +290,56 @@ TEST(ModelSerializationTest, RejectsTruncatedTrailer) {
   EXPECT_THROW(CrfModel::Load(short_length), std::runtime_error);
 }
 
+// A version-2 model stream: magic, version, then `rest`.
+std::string ModelStream(const std::string& rest) {
+  return U32Bytes(0x57435246u) + U32Bytes(2) + rest;
+}
+
+std::string LengthPrefixed(const std::string& s) {
+  return U32Bytes(static_cast<uint32_t>(s.size())) + s;
+}
+
+// Two labels, "A" and "B": the shortest valid label table.
+std::string TwoLabels() {
+  return U32Bytes(2) + LengthPrefixed("A") + LengthPrefixed("B");
+}
+
+void ExpectRejected(const std::string& rest) {
+  std::stringstream ss(ModelStream(rest));
+  EXPECT_THROW(CrfModel::Load(ss), std::runtime_error);
+}
+
+// Hostile counts and lengths: each claims far more than the stream holds.
+// Load must fail with runtime_error after reading what is there, never
+// allocate what the count claims (which would be bad_alloc, or an ASan
+// allocation-size abort).
+TEST(ModelSerializationTest, RejectsLyingLabelCount) {
+  ExpectRejected(U32Bytes(0xFFFFFFFFu));
+  ExpectRejected(U32Bytes(1) + LengthPrefixed("A") + U32Bytes(0));
+}
+
+TEST(ModelSerializationTest, RejectsLyingStringLength) {
+  ExpectRejected(U32Bytes(2) + U32Bytes(0xFFFFFFF0u) + "abc");
+}
+
+TEST(ModelSerializationTest, RejectsLyingVocabCounts) {
+  ExpectRejected(TwoLabels() + U32Bytes(0xFFFFFFFFu));
+  ExpectRejected(TwoLabels() + U32Bytes(1) + U32Bytes(0xFFFFFFF0u) + "w");
+}
+
+TEST(ModelSerializationTest, RejectsLyingSlotAndWeightCounts) {
+  const std::string empty_vocab = U32Bytes(0);
+  ExpectRejected(TwoLabels() + empty_vocab + U32Bytes(0xFFFFFFFFu));
+  // With no vocabulary and no slots, two labels make exactly 4 weights.
+  const std::string no_slots = TwoLabels() + empty_vocab + U32Bytes(0);
+  ExpectRejected(no_slots + U32Bytes(0xFFFFFFFFu));
+  ExpectRejected(no_slots + U32Bytes(4) + std::string(8, '\0'));
+  // The same head with 4 real weights and an empty trailer loads.
+  const std::string weights = U32Bytes(4) + std::string(32, '\0');
+  std::stringstream valid(ModelStream(no_slots + weights + U32Bytes(0)));
+  EXPECT_EQ(CrfModel::Load(valid).num_weights(), 4u);
+}
+
 TEST(ModelSerializationTest, LoadsVersion1StreamsWithoutSupport) {
   // A v1 stream is a v2 stream with the version field rewound and the
   // trailer cut off.

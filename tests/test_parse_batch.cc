@@ -6,6 +6,8 @@
 // workspace shortcut must be *exactly* the classic pipeline, down to
 // log_prob. Run them in a -DWHOISCRF_TSAN=ON build tree to check the
 // parallel path under ThreadSanitizer.
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +16,7 @@
 
 #include "crf/workspace.h"
 #include "datagen/corpus_gen.h"
+#include "obs/metrics.h"
 #include "text/line_splitter.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -121,6 +124,146 @@ TEST_F(ParseBatchTest, FastParseMatchesNaive) {
     EXPECT_EQ(ToJson(fast), ToJson(naive));
     EXPECT_EQ(fast.line_labels, naive.line_labels);
     EXPECT_DOUBLE_EQ(fast.log_prob, naive.log_prob);
+  }
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::Registry::Global().CounterValue(name);
+}
+
+void ExpectMatchesNaive(const WhoisParser& parser, const std::string& text,
+                        const ParsedWhois& fast, const std::string& where) {
+  const ParsedWhois naive = parser.ParseNaive(text);
+  EXPECT_EQ(ToJson(fast), ToJson(naive)) << where;
+  EXPECT_EQ(fast.line_labels, naive.line_labels) << where;
+  EXPECT_EQ(fast.log_prob, naive.log_prob) << where;
+}
+
+TEST_F(ParseBatchTest, SecondSightingAdmitsLinesIntoCache) {
+  // Pass 1 sees most lines for the first time (compiled in scratch), pass 2
+  // admits them on their second sighting, pass 3 finds them in the cache.
+  // Every pass must be exactly the naive parse.
+  const std::vector<std::string> records = CorpusTexts(1000, 60);
+
+  // The cache is direct-mapped: two distinct lines of the slice that share
+  // a slot evict each other on every pass. Every other line must hit on
+  // pass 3, so a record made only of uncontested lines hits on every line.
+  std::map<size_t, std::set<std::string>> keys_by_slot;
+  std::vector<std::vector<size_t>> slots_by_record;
+  const size_t mask = ParseWorkspace::kLineCacheSlots - 1;
+  std::string key;
+  for (const std::string& text : records) {
+    slots_by_record.emplace_back();
+    for (const text::Line& line : text::SplitRecord(text)) {
+      LineCacheKey(line, key);
+      const size_t slot = TransparentStringHash{}(key) & mask;
+      keys_by_slot[slot].insert(key);
+      slots_by_record.back().push_back(slot);
+    }
+  }
+  size_t contested_lines = 0;
+  std::vector<bool> contested_record;
+  for (const auto& slots : slots_by_record) {
+    bool contested = false;
+    for (size_t slot : slots) {
+      if (keys_by_slot[slot].size() > 1) {
+        ++contested_lines;
+        contested = true;
+      }
+    }
+    contested_record.push_back(contested);
+  }
+
+  ParseWorkspace ws;
+  for (int pass = 1; pass <= 3; ++pass) {
+    uint64_t hits = 0, lines = 0;
+    size_t exact_records = 0;
+    for (size_t r = 0; r < records.size(); ++r) {
+      const uint64_t hits0 = CounterValue("whoiscrf_compile_cache_hits_total");
+      const uint64_t lines0 = CounterValue("whoiscrf_parse_lines_total");
+      const std::string where =
+          "pass " + std::to_string(pass) + ", record " + std::to_string(r);
+      const ParsedWhois fast = parser_->Parse(records[r], ws);
+      ExpectMatchesNaive(*parser_, records[r], fast, where);
+      const uint64_t record_hits =
+          CounterValue("whoiscrf_compile_cache_hits_total") - hits0;
+      const uint64_t record_lines =
+          CounterValue("whoiscrf_parse_lines_total") - lines0;
+      if (pass == 3 && !contested_record[r]) {
+        EXPECT_EQ(record_hits, record_lines) << where;
+        ++exact_records;
+      }
+      hits += record_hits;
+      lines += record_lines;
+    }
+    if (pass == 1) {
+      EXPECT_LT(hits, lines / 2);
+    }
+    if (pass == 3) {
+      EXPECT_GE(hits, lines - contested_lines);
+      EXPECT_GT(exact_records, records.size() / 4);
+    }
+  }
+}
+
+TEST_F(ParseBatchTest, LineRepeatedWithinOneRecord) {
+  // The second copy is admitted into the slot while the first still
+  // points into scratch; the third copy hits.
+  const std::string text =
+      "Domain Name: REPEAT-TEST.COM\nName Server: NS1.REPEAT-TEST.COM\n"
+      "Name Server: NS1.REPEAT-TEST.COM\nStatus: ok\n"
+      "Name Server: NS1.REPEAT-TEST.COM\n";
+  ParseWorkspace ws;
+  const uint64_t hits0 = CounterValue("whoiscrf_compile_cache_hits_total");
+  ExpectMatchesNaive(*parser_, text, parser_->Parse(text, ws), "first");
+  EXPECT_EQ(CounterValue("whoiscrf_compile_cache_hits_total") - hits0, 1u);
+  ExpectMatchesNaive(*parser_, text, parser_->Parse(text, ws), "again");
+}
+
+TEST_F(ParseBatchTest, ScratchPoolIsCappedAfterHugeRecord) {
+  std::string huge;
+  for (size_t i = 0; i < 3 * ParseWorkspace::kScratchKeep; ++i) {
+    huge += "Name Server: NS" + std::to_string(i) + ".HUGE-RECORD.COM\n";
+  }
+  ParseWorkspace ws;
+  ExpectMatchesNaive(*parser_, huge, parser_->Parse(huge, ws), "huge");
+  EXPECT_LE(ws.scratch.size(), ParseWorkspace::kScratchKeep);
+  // The trimmed pool keeps serving later records.
+  for (const std::string& text : CorpusTexts(1100, 5)) {
+    ExpectMatchesNaive(*parser_, text, parser_->Parse(text, ws), "after");
+  }
+  ExpectMatchesNaive(*parser_, huge, parser_->Parse(huge, ws), "huge again");
+  EXPECT_LE(ws.scratch.size(), ParseWorkspace::kScratchKeep);
+}
+
+TEST(ExtractFieldsCachedTest, TitleMemoIsCappedAndStaysExact) {
+  // More distinct titles than the memo holds, with URL values mixed in so
+  // the per-value registrar override is exercised across a clear.
+  std::string record;
+  for (size_t i = 0; i < FieldRouteCache::kMaxTitles + 500; ++i) {
+    const std::string n = std::to_string(i);
+    record += i % 3 == 0 ? "Registrar Field " : "Title ";
+    record += n + ": ";
+    record += i % 5 == 0 ? "http://example" + n + ".com" : "value " + n;
+    record += "\n";
+  }
+  record += "Domain Name: CAPPED.COM\nexample.org\n";
+  const std::vector<text::Line> lines = text::SplitRecord(record);
+  // Cycle through the label families RouteLine dispatches on.
+  std::vector<Level1Label> labels;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    labels.push_back(static_cast<Level1Label>(i % 4));
+  }
+  const std::vector<Level2Label> subs(lines.size(), Level2Label::kStreet);
+
+  ParsedWhois plain;
+  ExtractFields(lines, labels, subs, plain);
+  FieldRouteCache cache;
+  for (int round = 0; round < 2; ++round) {
+    ParsedWhois cached;
+    ExtractFieldsCached(lines, labels, subs, cached, cache);
+    EXPECT_EQ(ToJson(cached), ToJson(plain)) << "round " << round;
+    EXPECT_LE(cache.by_title.size(), FieldRouteCache::kMaxTitles);
   }
 }
 
