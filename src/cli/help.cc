@@ -3,6 +3,7 @@
 #include <sstream>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 namespace whoiscrf::cli {
 
@@ -334,18 +335,48 @@ const char* CommandHelp(const std::string& command) {
   return it == table->end() ? nullptr : it->second.c_str();
 }
 
-std::vector<std::string> CommandFlags(const std::string& command) {
-  std::vector<std::string> out;
+namespace {
+
+// (flag, next word) for each flag line of a command's help. A flag line is
+// two spaces, the flag, then its upper-case metavar or its lower-case
+// description (the same shape scripts/check_cli_docs.py parses).
+std::vector<std::pair<std::string, std::string>> FlagLines(
+    const std::string& command) {
+  std::vector<std::pair<std::string, std::string>> out;
   const char* help = CommandHelp(command);
   if (help == nullptr) return out;
-  // A flag line is two spaces, the flag, then its metavar or description
-  // (the same shape scripts/check_cli_docs.py parses).
   std::istringstream lines(help);
   for (std::string line; std::getline(lines, line);) {
     if (line.rfind("  --", 0) != 0) continue;
-    out.push_back(line.substr(2, line.find(' ', 2) - 2));
+    std::istringstream words(line);
+    std::string flag, next;
+    words >> flag >> next;
+    out.emplace_back(flag, next);
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<std::string> CommandFlags(const std::string& command) {
+  std::vector<std::string> out;
+  for (const auto& [flag, metavar] : FlagLines(command)) out.push_back(flag);
+  return out;
+}
+
+FlagValue FlagValueType(const std::string& command, const std::string& flag) {
+  for (const auto& [name, metavar] : FlagLines(command)) {
+    if (name != flag) continue;
+    if (metavar == "N" || metavar == "K" || metavar == "S" ||
+        metavar == "D" || metavar == "MS") {
+      return FlagValue::kInteger;
+    }
+    if (metavar == "F" || metavar == "R" || metavar == "X" ||
+        metavar == "SIGMA") {
+      return FlagValue::kNumber;
+    }
+  }
+  return FlagValue::kText;
 }
 
 }  // namespace whoiscrf::cli

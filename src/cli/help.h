@@ -20,4 +20,10 @@ const char* CommandHelp(const std::string& command);
 // global flags included. Empty for an unknown command.
 std::vector<std::string> CommandFlags(const std::string& command);
 
+// What a flag's value must parse as, read off the metavar in its help line:
+// N, K, S, D and MS are integers; F, R, X and SIGMA are numbers; any other
+// metavar (FILE, PREFIX, ...) or none is free text.
+enum class FlagValue { kText, kInteger, kNumber };
+FlagValue FlagValueType(const std::string& command, const std::string& flag);
+
 }  // namespace whoiscrf::cli

@@ -78,8 +78,11 @@ std::optional<int> RunCommand(const std::string& command,
     return 0;
   }
 
-  // Fail fast on a flag the command does not take, before it does any
-  // work: a misspelt or removed flag would otherwise run with defaults.
+  // Fail fast, before the command does any work, on a flag the command
+  // does not take or a value that does not parse as the flag's type: a
+  // misspelt flag or a malformed value would otherwise run with defaults.
+  // Typed reads record malformed values in flags.errors(), which the caller
+  // prints.
   const std::vector<std::string> accepted = CommandFlags(command);
   bool unknown = false;
   for (const std::string& flag : flags.UnconsumedFlags()) {
@@ -87,9 +90,15 @@ std::optional<int> RunCommand(const std::string& command,
       std::fprintf(stderr, "error: unknown flag %s for '%s'\n", flag.c_str(),
                    command.c_str());
       unknown = true;
+      continue;
+    }
+    switch (FlagValueType(command, flag)) {
+      case FlagValue::kInteger: flags.GetInt(flag.substr(2)); break;
+      case FlagValue::kNumber: flags.GetDouble(flag.substr(2)); break;
+      case FlagValue::kText: break;
     }
   }
-  if (unknown) return 2;
+  if (unknown || !flags.errors().empty()) return 2;
 
   // Consume the telemetry flags before dispatch so commands never see them
   // as unknown/unused.

@@ -2,9 +2,9 @@
 //
 // Supports "--name value", "--name=value", and boolean "--name". Malformed
 // and duplicate flags are collected as errors; UnconsumedFlags lists the
-// rest a command never read (the CLI checks them against the command's
-// help table before it runs, so unknown flags fail fast). Non-flag
-// arguments are positional.
+// rest a command never read. The CLI checks them against the command's
+// help table before it runs, reading typed values there too, so unknown
+// flags and malformed values fail fast. Non-flag arguments are positional.
 #pragma once
 
 #include <cstdint>

@@ -57,7 +57,7 @@ std::vector<std::string_view> SplitWhitespace(std::string_view s) {
   while (i < s.size()) {
     const size_t start = scan::SkipSpace(s, i);
     if (start == std::string_view::npos) break;
-    size_t end = scan::FindSpace(s, start);
+    size_t end = scan::FindClass(s, scan::kSpace, start);
     if (end == std::string_view::npos) end = s.size();
     out.push_back(s.substr(start, end - start));
     i = end;

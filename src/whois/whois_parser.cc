@@ -690,11 +690,13 @@ ParsedWhois WhoisParser::Parse(std::string_view record_text,
   sc.L = level1_->num_labels();
   sc.unary.resize(T * L1);
   // Pairwise blocks go through the Scores row-pointer table: lines with no
-  // observed-transition attributes (the common case) share the model's base
-  // transition block directly — PairwiseScores would produce an exact copy
-  // of it — and only lines with transition slots compute a row into the
-  // `pairwise` arena. Same bits read either way, ~L*L doubles less work
-  // per shared line.
+  // observed-transition attributes share the model's base transition block
+  // directly — PairwiseScores would produce an exact copy of it — and only
+  // lines with transition slots compute a row into the `pairwise` arena.
+  // Same bits read either way, ~L*L doubles less work per shared line.
+  // Most lines do carry a slot (SEP and the first title word are
+  // transition attributes; 79% of census lines), so the shared block is
+  // the minority path.
   sc.pairwise.resize(T * L1 * L1);
   sc.pair_rows.assign(T, nullptr);  // row t=0 is never read
   const double* trans1 = &level1_->weights()[level1_->TransitionIndex(0, 0)];

@@ -220,6 +220,33 @@ TEST(RunCommandTest, UnknownFlagFailsBeforeTheCommandRuns) {
   EXPECT_TRUE(cli::CommandFlags("nonsense").empty());
 }
 
+TEST(RunCommandTest, MalformedValueFailsBeforeTheCommandRuns) {
+  const std::string out = ::testing::TempDir() + "/bad_value_gen.txt";
+  std::remove(out.c_str());
+  {
+    // An integer flag: had gen run, it would write 100 records.
+    auto flags = Parse({"--out", out.c_str(), "--count", "abc"});
+    EXPECT_EQ(cli::RunCommand("gen", flags), 2);
+    ASSERT_EQ(flags.errors().size(), 1u);
+    EXPECT_NE(flags.errors()[0].find("--count"), std::string::npos);
+    EXPECT_FALSE(std::ifstream(out).good());
+  }
+  {
+    // A number flag.
+    auto flags = Parse({"--out", out.c_str(), "--count", "3", "--drift",
+                        "0.2x"});
+    EXPECT_EQ(cli::RunCommand("gen", flags), 2);
+    ASSERT_EQ(flags.errors().size(), 1u);
+    EXPECT_NE(flags.errors()[0].find("--drift"), std::string::npos);
+    EXPECT_FALSE(std::ifstream(out).good());
+  }
+  EXPECT_EQ(cli::FlagValueType("gen", "--count"), cli::FlagValue::kInteger);
+  EXPECT_EQ(cli::FlagValueType("gen", "--drift"), cli::FlagValue::kNumber);
+  EXPECT_EQ(cli::FlagValueType("gen", "--out"), cli::FlagValue::kText);
+  EXPECT_EQ(cli::FlagValueType("train", "--l2"), cli::FlagValue::kNumber);
+  EXPECT_EQ(cli::FlagValueType("parse", "--cascade"), cli::FlagValue::kText);
+}
+
 TEST(CliCommandsTest, GenNewTld) {
   const std::string path = ::testing::TempDir() + "/cli_tld.txt";
   auto flags = Parse({"--out", path.c_str(), "--count", "3", "--new-tld",

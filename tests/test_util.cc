@@ -1,9 +1,15 @@
-// Utility layer: string helpers, deterministic RNG, tables, thread pool.
+// Utility layer: byte scans, string helpers, deterministic RNG, tables,
+// thread pool.
 #include <atomic>
+#include <cctype>
+#include <cstring>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/byte_scan.h"
 #include "util/env.h"
 #include "util/random.h"
 #include "util/string_util.h"
@@ -12,6 +18,125 @@
 
 namespace whoiscrf::util {
 namespace {
+
+// --- Byte scans (util/byte_scan.h) -----------------------------------------
+
+namespace scan_ref {
+
+constexpr size_t npos = std::string_view::npos;
+
+// Each class spelled out from its definition, not from the class table.
+bool InRefClass(unsigned char c, uint8_t mask) {
+  const bool ascii = c < 0x80;
+  const auto has = [&](uint8_t bit) { return (mask & bit) != 0; };
+  return (has(scan::kSpace) && ascii && std::isspace(c)) ||
+         (has(scan::kDigit) && ascii && std::isdigit(c)) ||
+         (has(scan::kUpper) && ascii && std::isupper(c)) ||
+         (has(scan::kLower) && ascii && std::islower(c)) ||
+         (has(scan::kNewline) && (c == '\n' || c == '\r')) ||
+         (has(scan::kJsonStop) &&
+          (c < 0x20 || c == '"' || c == '\\' || c >= 0x80)) ||
+         (has(scan::kEdgePunct) && c != 0 &&
+          std::strchr(",.;\"'()[]<>*#%!?", c) != nullptr) ||
+         (has(scan::kSepTrigger) && c != 0 &&
+          std::strchr(":.\t= ", c) != nullptr);
+}
+
+size_t FindRef(std::string_view s, uint8_t mask, size_t from) {
+  for (size_t i = from; i < s.size(); ++i) {
+    if (InRefClass(static_cast<unsigned char>(s[i]), mask)) return i;
+  }
+  return npos;
+}
+
+// Every byte value in order and reversed, clean runs of every length, and
+// seeded random byte soup.
+std::vector<std::string> Inputs() {
+  std::vector<std::string> inputs = {""};
+  std::string all;
+  for (int b = 0; b < 256; ++b) all.push_back(static_cast<char>(b));
+  inputs.push_back(all);
+  inputs.emplace_back(all.rbegin(), all.rend());
+  for (size_t n = 1; n <= 40; ++n) inputs.emplace_back(n, 'x');
+  Rng rng(20260808);
+  for (int r = 0; r < 200; ++r) {
+    std::string soup;
+    const int64_t n = rng.UniformInt(0, 130);
+    for (int64_t i = 0; i < n; ++i) {
+      soup.push_back(static_cast<char>(rng.UniformInt(0, 255)));
+    }
+    inputs.push_back(std::move(soup));
+  }
+  return inputs;
+}
+
+}  // namespace scan_ref
+
+TEST(ByteScanEquivalence, FindClassMatchesReferenceForEveryMask) {
+  const uint8_t masks[] = {scan::kSpace,      scan::kDigit,   scan::kUpper,
+                           scan::kLower,      scan::kNewline, scan::kJsonStop,
+                           scan::kEdgePunct,  scan::kSepTrigger,
+                           scan::kAlpha,      scan::kAlnum};
+  for (int b = 0; b < 256; ++b) {
+    for (const uint8_t mask : masks) {
+      ASSERT_EQ(scan::InClass(static_cast<char>(b), mask),
+                scan_ref::InRefClass(static_cast<unsigned char>(b), mask))
+          << "byte=" << b << " mask=" << int(mask);
+    }
+  }
+  for (const std::string& s : scan_ref::Inputs()) {
+    for (size_t from = 0; from <= s.size() + 2; ++from) {
+      for (const uint8_t mask : masks) {
+        ASSERT_EQ(scan::FindClass(s, mask, from),
+                  scan_ref::FindRef(s, mask, from))
+            << "len=" << s.size() << " from=" << from << " mask=" << int(mask);
+      }
+      size_t want = scan_ref::npos;
+      for (size_t i = from; i < s.size() && want == scan_ref::npos; ++i) {
+        if (!std::isspace(static_cast<unsigned char>(s[i]))) want = i;
+      }
+      ASSERT_EQ(scan::SkipSpace(s, from), want)
+          << "len=" << s.size() << " from=" << from;
+    }
+  }
+}
+
+TEST(ByteScanEquivalence, PredicatesAndLowercasingMatchScalarReference) {
+  for (const std::string& s : scan_ref::Inputs()) {
+    bool alnum = false;
+    bool digits = !s.empty();
+    std::string lowered = s;
+    for (char& c : lowered) {
+      const auto u = static_cast<unsigned char>(c);
+      alnum = alnum || (u < 0x80 && std::isalnum(u));
+      digits = digits && u < 0x80 && std::isdigit(u);
+      if (u < 0x80) c = static_cast<char>(std::tolower(u));
+    }
+    EXPECT_EQ(scan::HasAlnum(s), alnum) << "len=" << s.size();
+    EXPECT_EQ(scan::AllDigits(s), digits) << "len=" << s.size();
+    std::string out(s.size(), '\0');
+    scan::AsciiLower(s.data(), s.size(), out.data());
+    EXPECT_EQ(out, lowered);
+    std::string inplace = s;  // in == out is part of the contract
+    scan::AsciiLower(inplace.data(), inplace.size(), inplace.data());
+    EXPECT_EQ(inplace, lowered);
+  }
+}
+
+TEST(ByteScanTest, EdgeCases) {
+  // `from` at or past the end returns npos for both scans.
+  EXPECT_EQ(scan::FindClass("abc", scan::kAlpha, 3), scan_ref::npos);
+  EXPECT_EQ(scan::FindClass("abc", scan::kAlpha, 10), scan_ref::npos);
+  EXPECT_EQ(scan::SkipSpace("abc", 4), scan_ref::npos);
+  EXPECT_EQ(scan::FindClass("", scan::kSpace), scan_ref::npos);
+  EXPECT_EQ(scan::SkipSpace(" \t\r\n"), scan_ref::npos);
+  // Bytes >= 0x80 are in no class but the JSON stop class.
+  for (int b = 0x80; b < 0x100; ++b) {
+    EXPECT_EQ(scan::ClassOf(static_cast<char>(b)), scan::kJsonStop) << b;
+  }
+  EXPECT_FALSE(scan::AllDigits(""));
+  EXPECT_FALSE(scan::HasAlnum("\xc3\xa9"));
+}
 
 TEST(StringUtilTest, Trim) {
   EXPECT_EQ(Trim("  a b  "), "a b");
